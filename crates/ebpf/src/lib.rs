@@ -28,6 +28,10 @@
 //!   over verified programs: behaviour-preserving optimization
 //!   passes driven by the verifier's range analysis, and lints for
 //!   verifiable-but-suspicious programs (see [`opt`]).
+//! * [`ProgramCache`] — the load pipeline (verify, optimize, silent
+//!   re-verify) run once per program *shape*: instructions with map
+//!   references renumbered to first-occurrence slots, each slot's
+//!   [`MapDef`], and the kfunc table.
 //!
 //! ## Examples
 //!
@@ -80,6 +84,7 @@
 
 mod asm_text;
 mod bytecode;
+mod cache;
 mod insn;
 mod interp;
 mod kprobe;
@@ -91,15 +96,14 @@ mod verify;
 
 pub use asm_text::{parse_program, ParseError};
 pub use bytecode::{decode_program, encode_program, DecodeError, MAGIC, VERSION};
+pub use cache::ProgramCache;
 pub use insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, MAX_INSNS, STACK_SIZE,
 };
 pub use interp::{Interpreter, KfuncHost, NoKfuncs, RunError, RunOutcome, INSN_BUDGET};
 pub use kprobe::{FireResult, KprobeRegistry, ProbeError, ProbeId};
 pub use map::{MapDef, MapError, MapId, MapKind, MapSet, NCPUS};
-pub use opt::{
-    lint_program, Diagnostic, Lint, LintReport, OptCache, OptStats, PassManager, Severity,
-};
+pub use opt::{lint_program, Diagnostic, Lint, LintReport, OptStats, PassManager, Severity};
 pub use program::{AsmError, Label, Program, ProgramBuilder};
 pub use telemetry::{
     telemetry_ring_def, telemetry_stats_def, TelemetryDecodeError, TelemetryRecord,
@@ -107,6 +111,6 @@ pub use telemetry::{
     TELEMETRY_RECORD_BYTES,
 };
 pub use verify::{
-    KfuncSig, VerifiedProgram, Verifier, VerifierLog, VerifierStats, VerifyCache, VerifyError,
-    VerifyErrorKind, COMPLEXITY_LIMIT,
+    KfuncSig, VerifiedProgram, Verifier, VerifierLog, VerifierStats, VerifyError, VerifyErrorKind,
+    COMPLEXITY_LIMIT,
 };

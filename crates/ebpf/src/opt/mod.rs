@@ -8,9 +8,9 @@
 //! strength reduction, slot unification, register promotion, loop
 //! rotation) to a fixpoint. Every pass preserves observable
 //! behaviour — return value, map and ring-buffer effects, and their
-//! order — and the host re-verifies each optimized image before
-//! attaching it, so the verifier, not the optimizer, remains the
-//! safety boundary.
+//! order — and the load pipeline ([`crate::ProgramCache`])
+//! re-verifies each optimized image before it can be attached, so the
+//! verifier, not the optimizer, remains the safety boundary.
 //!
 //! The lint layer ([`lint_program`]) reuses the same CFG and
 //! dataflow facts to flag verifiable-but-suspicious programs.
@@ -18,11 +18,9 @@
 pub(crate) mod analysis;
 pub(crate) mod cfg;
 
-mod cache;
 mod lint;
 mod passes;
 
-pub use cache::OptCache;
 pub use lint::{lint_program, Diagnostic, Lint, LintContext, LintReport, Severity};
 
 use crate::map::MapSet;

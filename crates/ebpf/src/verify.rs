@@ -53,7 +53,7 @@ const WIDE_CAND_LIMIT: usize = 64;
 const LOG_LINE_LIMIT: usize = 4096;
 
 /// Signature of a kfunc as known to the verifier.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KfuncSig {
     /// Name, for diagnostics.
     pub name: &'static str,
@@ -538,6 +538,16 @@ pub struct VerifiedProgram {
 }
 
 impl VerifiedProgram {
+    /// A program whose verdict came from a cache: nothing was walked,
+    /// so its stats are empty.
+    pub(crate) fn cached(program: Program) -> Self {
+        VerifiedProgram {
+            program,
+            stats: VerifierStats::default(),
+            log: None,
+        }
+    }
+
     /// The underlying program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -581,47 +591,6 @@ struct Frame {
     succs: Vec<(usize, AbsState)>,
 }
 
-/// Memo of successful verifications keyed by *program shape*: the
-/// canonical instruction text with every map reference replaced by
-/// the referenced map's definition (kind / key / value / capacity),
-/// plus the kfunc signature table. Two programs with the same key
-/// are verifier-equivalent — the abstract interpreter consults a map
-/// id only to fetch its [`MapDef`](crate::MapDef) — so re-verifying one of them is
-/// pure waste. This mirrors production reality: a kernel verifies a
-/// program image once at load, not once per sandbox restore, and
-/// SnapBPF reloads an *identical* prefetch program (modulo fresh map
-/// ids) on every cold start.
-///
-/// Keys are exact strings, not hashes of them, so a collision can
-/// never smuggle an unverified program past the verifier.
-#[derive(Debug, Default)]
-pub struct VerifyCache {
-    ok: HashSet<String>,
-    hits: u64,
-}
-
-impl VerifyCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct program shapes verified so far.
-    pub fn len(&self) -> usize {
-        self.ok.len()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.ok.is_empty()
-    }
-
-    /// Verifications skipped because the shape was already proven.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-}
-
 /// The verifier. Holds the map set (for bounds/signature data) and
 /// the kfunc signatures.
 #[derive(Debug)]
@@ -643,66 +612,6 @@ impl<'a> Verifier<'a> {
     /// Returns the first [`VerifyError`] found on any path.
     pub fn verify(&self, program: &Program) -> Result<VerifiedProgram, VerifyError> {
         self.verify_impl(program, false).0
-    }
-
-    /// Verifies `program`, consulting (and feeding) `cache`: when an
-    /// identically-shaped program already verified against maps with
-    /// these definitions, the walk is skipped entirely and the
-    /// returned token carries empty [`VerifierStats`] (no work was
-    /// done). Failures are never cached.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`VerifyError`] found on any path.
-    pub fn verify_cached(
-        &self,
-        program: &Program,
-        cache: &mut VerifyCache,
-    ) -> Result<VerifiedProgram, VerifyError> {
-        let Some(key) = self.shape_key(program) else {
-            // A map reference that does not resolve: take the full
-            // path so the walk reports the proper error.
-            return self.verify(program);
-        };
-        if cache.ok.contains(&key) {
-            cache.hits += 1;
-            return Ok(VerifiedProgram {
-                program: program.clone(),
-                stats: VerifierStats::default(),
-                log: None,
-            });
-        }
-        let verified = self.verify(program)?;
-        cache.ok.insert(key);
-        Ok(verified)
-    }
-
-    /// The cache key for `program`: every instruction rendered in
-    /// canonical asm text except map references, which render as the
-    /// referenced map's definition instead of its id. `None` when a
-    /// referenced map does not exist in this map set.
-    fn shape_key(&self, program: &Program) -> Option<String> {
-        use fmt::Write as _;
-        let mut key = String::with_capacity(program.insns().len() * 24);
-        for sig in self.kfuncs {
-            let _ = writeln!(key, "kfunc {} args={}", sig.name, sig.args);
-        }
-        for insn in program.insns() {
-            match insn {
-                Insn::LoadMapRef { dst, map } => {
-                    let def = self.maps.def(*map).ok()?;
-                    let _ = writeln!(
-                        key,
-                        "lddw {dst}, map<{:?} k={} v={} n={}>",
-                        def.kind, def.key_size, def.value_size, def.max_entries
-                    );
-                }
-                other => {
-                    let _ = writeln!(key, "{other}");
-                }
-            }
-        }
-        Some(key)
     }
 
     /// Verifies `program` with the verifier log enabled; the log is
@@ -2591,93 +2500,5 @@ mod tests {
             .mov(Reg::R0, 0)
             .exit();
         assert!(verify(&b.build().unwrap(), &maps).is_ok());
-    }
-
-    /// A null-checked lookup program against `m` — the shape SnapBPF
-    /// reloads with fresh map ids on every restore.
-    fn lookup_program(name: &str, m: MapId) -> Program {
-        let mut b = ProgramBuilder::new(name);
-        let out = b.label();
-        b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .call(HelperId::MapLookup)
-            .mov(Reg::R6, Reg::R0)
-            .jump_if(JmpCond::Eq, Reg::R6, 0i64, out)
-            .load(Reg::R6, Reg::R6, 0, AccessSize::B8)
-            .bind(out)
-            .unwrap()
-            .mov(Reg::R0, 0)
-            .exit();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn cache_skips_reverification_of_identical_shapes() {
-        let mut maps = MapSet::new();
-        let a = maps.create(MapDef::array(8, 16)).unwrap();
-        let b = maps.create(MapDef::array(8, 16)).unwrap();
-        let mut cache = VerifyCache::new();
-        let verifier = Verifier::new(&maps, &[]);
-
-        let first = verifier
-            .verify_cached(&lookup_program("p1", a), &mut cache)
-            .unwrap();
-        assert!(first.states_explored() > 0, "first load walks");
-        assert_eq!((cache.len(), cache.hits()), (1, 0));
-
-        // Different map id, identical definition: verifier-equivalent.
-        let second = verifier
-            .verify_cached(&lookup_program("p2", b), &mut cache)
-            .unwrap();
-        assert_eq!(second.states_explored(), 0, "cache hit does no work");
-        assert_eq!((cache.len(), cache.hits()), (1, 1));
-    }
-
-    #[test]
-    fn cache_distinguishes_map_shapes() {
-        let mut maps = MapSet::new();
-        let small = maps.create(MapDef::array(8, 16)).unwrap();
-        let big = maps.create(MapDef::array(8, 1024)).unwrap();
-        let mut cache = VerifyCache::new();
-        let verifier = Verifier::new(&maps, &[]);
-
-        verifier
-            .verify_cached(&lookup_program("p", small), &mut cache)
-            .unwrap();
-        let other = verifier
-            .verify_cached(&lookup_program("p", big), &mut cache)
-            .unwrap();
-        assert!(
-            other.states_explored() > 0,
-            "different max_entries is a different shape"
-        );
-        assert_eq!((cache.len(), cache.hits()), (2, 0));
-    }
-
-    #[test]
-    fn cache_never_stores_failures() {
-        let (maps, m) = maps_with_array();
-        let mut b = ProgramBuilder::new("bad");
-        b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .call(HelperId::MapLookup)
-            // Missing null check.
-            .load(Reg::R0, Reg::R0, 0, AccessSize::B8)
-            .exit();
-        let prog = b.build().unwrap();
-        let mut cache = VerifyCache::new();
-        let verifier = Verifier::new(&maps, &[]);
-        for _ in 0..2 {
-            assert!(matches!(
-                verifier.verify_cached(&prog, &mut cache).unwrap_err().kind,
-                VerifyErrorKind::PossiblyNull(_)
-            ));
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 }

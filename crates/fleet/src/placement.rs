@@ -58,20 +58,6 @@ pub trait PlacementPolicy {
     fn place(&mut self, func_name: &str, hosts: &[HostView]) -> usize;
 }
 
-/// FNV-1a 64-bit — a small, dependency-free, stable hash. Chrome
-/// trace readers and golden files depend on placement being
-/// reproducible across platforms, so the hash is fixed here rather
-/// than borrowed from `std` (whose `Hasher` is explicitly not
-/// stable across releases).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One SplitMix64-style finalization round: decorrelates the
 /// (function, host) score pairs rendezvous hashing compares.
 fn mix(mut x: u64) -> u64 {
@@ -93,7 +79,7 @@ impl PlacementPolicy for HashPlacement {
     }
 
     fn place(&mut self, func_name: &str, hosts: &[HostView]) -> usize {
-        let key = fnv1a(func_name.as_bytes());
+        let key = snapbpf_sim::fnv1a(func_name.as_bytes());
         hosts
             .iter()
             .max_by_key(|v| {

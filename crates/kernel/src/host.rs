@@ -26,7 +26,7 @@ use std::fmt;
 
 use snapbpf_ebpf::{
     Interpreter, KfuncHost, KfuncSig, KprobeRegistry, MapDef, MapError, MapId, MapSet, ProbeError,
-    ProbeId, Program, VerifyError,
+    ProbeId, Program, ProgramCache, VerifyError,
 };
 use snapbpf_mem::{
     AllocError, AnonRegistry, BuddyAllocator, CacheError, FrameId, MemorySnapshot, OwnerId,
@@ -222,9 +222,8 @@ pub struct HostKernel {
     trace: Tracer,
     verifier_log_enabled: bool,
     verifier_logs: Vec<String>,
-    verify_cache: snapbpf_ebpf::VerifyCache,
     optimizer_enabled: bool,
-    opt_cache: snapbpf_ebpf::OptCache,
+    programs: ProgramCache,
 }
 
 impl HostKernel {
@@ -251,9 +250,8 @@ impl HostKernel {
             trace: Tracer::disabled(),
             verifier_log_enabled: false,
             verifier_logs: Vec::new(),
-            verify_cache: snapbpf_ebpf::VerifyCache::new(),
             optimizer_enabled: true,
-            opt_cache: snapbpf_ebpf::OptCache::new(),
+            programs: ProgramCache::default(),
             config,
         }
     }
@@ -267,6 +265,7 @@ impl HostKernel {
         self.cache.set_tracer(tracer.clone());
         self.maps.set_tracer(tracer.clone());
         self.probes.set_tracer(tracer.clone());
+        self.programs.set_tracer(tracer.clone());
     }
 
     /// The installed tracer (disabled by default).
@@ -314,17 +313,14 @@ impl HostKernel {
         Ok(self.maps.create(def)?)
     }
 
-    /// Verifies `program` against the current maps and kfuncs and
-    /// attaches it to `hook` — the `bpf()` load + attach path.
-    ///
-    /// Verification verdicts are memoized per program *shape*
-    /// ([`snapbpf_ebpf::VerifyCache`]): reloading an
-    /// identically-shaped program against identically-defined maps —
-    /// what every SnapBPF cold restore after the first does — skips
-    /// the abstract-interpretation walk and counts as
-    /// `ebpf.verifier.cache_hits` instead of processed instructions.
-    /// The cache is bypassed while verifier-log capture is on, so
-    /// captured logs always reflect a full walk.
+    /// Verifies `program` against the current maps and kfuncs,
+    /// optimizes it, and attaches it to `hook` — the `bpf()` load +
+    /// attach path. The pipeline runs once per program shape behind
+    /// one [`ProgramCache`]: reloading a shape (every SnapBPF cold
+    /// restore after the first) counts `ebpf.verifier.cache_hits` and
+    /// `ebpf.opt.cache_hits` instead of walking and optimizing again,
+    /// and attaches the cached image rebased onto the caller's maps.
+    /// Verifier-log capture never takes a cached verdict.
     ///
     /// # Errors
     ///
@@ -334,97 +330,17 @@ impl HostKernel {
         hook: &str,
         program: &Program,
     ) -> Result<ProbeId, KernelError> {
-        let verifier = snapbpf_ebpf::Verifier::new(&self.maps, &self.kfunc_sigs);
-        let (result, stats) = if self.verifier_log_enabled {
-            let (result, log) = verifier.verify_logged(program);
-            let stats = log.stats().clone();
-            self.verifier_logs.push(log.render());
-            (result, stats)
-        } else {
-            let hits_before = self.verify_cache.hits();
-            let result = verifier.verify_cached(program, &mut self.verify_cache);
-            if self.verify_cache.hits() > hits_before {
-                self.trace.incr("ebpf.verifier.cache_hits");
-            }
-            let stats = match &result {
-                Ok(v) => v.stats().clone(),
-                Err(_) => snapbpf_ebpf::VerifierStats::default(),
-            };
-            (result, stats)
-        };
-        self.trace
-            .add("ebpf.verifier.insns_processed", stats.insns_processed);
-        self.trace
-            .add("ebpf.verifier.states_pruned", stats.states_pruned);
-        self.trace.add("ebpf.verifier.dead_insns", stats.dead_insns);
-        self.trace.observe(
-            "ebpf.verifier.peak_branch_depth",
-            stats.peak_branch_depth as u64,
+        let (image, log) = self.programs.load(
+            program,
+            &self.maps,
+            &self.kfunc_sigs,
+            self.optimizer_enabled,
+            self.verifier_log_enabled,
         );
-        match result {
-            Ok(verified) => {
-                self.trace.incr("ebpf.verifier.programs");
-                let attached = if self.optimizer_enabled {
-                    self.optimize_for_attach(program, verified)
-                } else {
-                    verified
-                };
-                Ok(self.probes.attach(hook, attached))
-            }
-            Err(e) => {
-                self.trace.incr("ebpf.verifier.rejections");
-                Err(e.into())
-            }
+        if let Some(log) = log {
+            self.verifier_logs.push(log.render());
         }
-    }
-
-    /// Runs the optimization pipeline on an accepted program and
-    /// re-verifies the result. The optimized image is attached only
-    /// when it passes the verifier again; otherwise the original
-    /// `verified` image is kept and `ebpf.opt.reverify_rejections`
-    /// counts the fallback. Optimization results are memoized per
-    /// program shape like verification verdicts.
-    fn optimize_for_attach(
-        &mut self,
-        program: &Program,
-        verified: snapbpf_ebpf::VerifiedProgram,
-    ) -> snapbpf_ebpf::VerifiedProgram {
-        let (optimized, stats) = match self.opt_cache.lookup(program, &self.maps, &self.kfunc_sigs)
-        {
-            Some(hit) => {
-                self.trace.incr("ebpf.opt.cache_hits");
-                hit
-            }
-            None => {
-                let (optimized, stats) = snapbpf_ebpf::PassManager::new().optimize(
-                    program,
-                    &self.maps,
-                    &self.kfunc_sigs,
-                );
-                self.opt_cache.insert(
-                    program,
-                    &optimized,
-                    stats.clone(),
-                    &self.maps,
-                    &self.kfunc_sigs,
-                );
-                (optimized, stats)
-            }
-        };
-        self.trace.incr("ebpf.opt.programs");
-        self.trace.add("ebpf.opt.insns_before", stats.insns_before);
-        self.trace.add("ebpf.opt.insns_after", stats.insns_after);
-        // Re-verification is silent: no verifier metrics or captured
-        // logs, so enabling the optimizer never changes what the
-        // verifier reports about the program the author wrote.
-        let verifier = snapbpf_ebpf::Verifier::new(&self.maps, &self.kfunc_sigs);
-        match verifier.verify_cached(&optimized, &mut self.verify_cache) {
-            Ok(v) => v,
-            Err(_) => {
-                self.trace.incr("ebpf.opt.reverify_rejections");
-                verified
-            }
-        }
+        Ok(self.probes.attach(hook, image?))
     }
 
     /// Enables or disables the optimize-then-re-verify step in
@@ -1377,5 +1293,98 @@ mod tests {
         assert_eq!(k.counters().get("prog_self_disables"), 1);
         assert_eq!(k.counters().get("prefetch_ranges_issued"), 3);
         assert!(k.ebpf_cpu() > SimDuration::ZERO);
+    }
+
+    /// Per reference `i` to map `m`: slot 0 of `m` becomes
+    /// `slot * 10 + (i + 1)`, so the final values spell out which map
+    /// each reference hit, in order. A constant-false guard gives the
+    /// optimizer something to remove.
+    fn appender(refs: &[MapId]) -> Program {
+        use snapbpf_ebpf::{AccessSize, HelperId, JmpCond, ProgramBuilder, Reg};
+
+        let mut b = ProgramBuilder::new("appender");
+        let out = b.label();
+        b.mov(Reg::R7, 3).jump_if(JmpCond::Gt, Reg::R7, 5i64, out);
+        for (i, &m) in refs.iter().enumerate() {
+            b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
+                .load_map(Reg::R1, m)
+                .mov(Reg::R2, Reg::R10)
+                .add(Reg::R2, -4)
+                .call(HelperId::MapLookup)
+                .jump_if(JmpCond::Eq, Reg::R0, 0i64, out)
+                .load(Reg::R6, Reg::R0, 0, AccessSize::B8)
+                .mul(Reg::R6, 10)
+                .add(Reg::R6, i as i64 + 1)
+                .store(Reg::R0, 0, Reg::R6, AccessSize::B8);
+        }
+        b.bind(out).unwrap().mov(Reg::R0, 0).exit();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn load_pipeline_counters_per_load() {
+        let mut k = kernel();
+        let tracer = Tracer::noop();
+        k.install_tracer(&tracer);
+        let a = k.create_map(MapDef::array(8, 16)).unwrap();
+        let fresh = k.create_map(MapDef::array(8, 16)).unwrap();
+        let bigger = k.create_map(MapDef::array(8, 1024)).unwrap();
+        let counters = || {
+            [
+                "ebpf.verifier.programs",
+                "ebpf.verifier.cache_hits",
+                "ebpf.verifier.insns_processed",
+                "ebpf.verifier.rejections",
+                "ebpf.opt.programs",
+                "ebpf.opt.cache_hits",
+                "ebpf.opt.insns_before",
+                "ebpf.opt.insns_after",
+                "ebpf.opt.reverify_rejections",
+            ]
+            .map(|name| tracer.counter(name))
+        };
+        // (map, verifier log on, counters after the load)
+        let loads = [
+            // A first load misses.
+            (a, false, [1, 0, 37, 0, 1, 0, 34, 32, 0]),
+            // The identical program hits.
+            (a, false, [2, 1, 37, 0, 2, 1, 68, 64, 0]),
+            // The same shape on fresh map ids hits.
+            (fresh, false, [3, 2, 37, 0, 3, 2, 102, 96, 0]),
+            // A different max_entries is a different shape.
+            (bigger, false, [4, 2, 74, 0, 4, 2, 136, 128, 0]),
+            // A logged load walks; the optimizer result stays cached.
+            (a, true, [5, 2, 111, 0, 5, 3, 170, 160, 0]),
+        ];
+        for (i, (m, log, want)) in loads.into_iter().enumerate() {
+            k.set_verifier_log(log);
+            k.load_and_attach(PAGE_CACHE_ADD_HOOK, &appender(&[m; 3]))
+                .unwrap();
+            assert_eq!(counters(), want, "after load {i}");
+        }
+        assert_eq!(k.verifier_logs().len(), 1);
+    }
+
+    #[test]
+    fn load_pipeline_rebases_aliased_maps_onto_callers_maps() {
+        let mut k = kernel();
+        k.set_readahead(false);
+        let f = k.disk_mut().create_file("snap", 16).unwrap();
+        let def = MapDef::array(8, 4);
+        let [a, b, a2, b2] = [(); 4].map(|()| k.create_map(def).unwrap());
+        k.load_and_attach(PAGE_CACHE_ADD_HOOK, &appender(&[a, b, a]))
+            .unwrap();
+        k.load_and_attach(PAGE_CACHE_ADD_HOOK, &appender(&[a2, b2, b2]))
+            .unwrap();
+
+        // One page insertion fires both programs once.
+        k.read_file_page(SimTime::ZERO, f, 0).unwrap();
+        let slot0 = |m| k.maps().array_load_u64(m, 0).unwrap();
+        assert_eq!((slot0(a), slot0(b)), (13, 2));
+        assert_eq!(
+            (slot0(a2), slot0(b2)),
+            (1, 23),
+            "the second image must reference its own maps in its own order"
+        );
     }
 }

@@ -10,9 +10,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use snapbpf_sim::{SimTime, Tracer, PAGE_SIZE, TID_KERNEL};
+use snapbpf_sim::{FnvBuildHasher, SimTime, Tracer, PAGE_SIZE, TID_KERNEL};
 use snapbpf_storage::FileId;
 
 use crate::frame::FrameId;
@@ -100,42 +99,6 @@ impl std::error::Error for CacheError {}
 
 const NIL: usize = usize::MAX;
 
-/// FNV-1a, the page-cache index hash.
-///
-/// Page keys are tiny fixed-size integers hashed on every fault,
-/// insert and placement probe, so the default SipHash (keyed, DoS
-/// resistant) pays for robustness the simulator does not need. FNV
-/// is a handful of multiplies — and, being seed-free, it also makes
-/// map iteration order a pure function of the insert/remove history,
-/// which keeps bulk paths like [`PageCache::drain_unmapped`]
-/// deterministic across runs.
-#[derive(Debug, Clone, Copy)]
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        // FNV-1a 64-bit offset basis.
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvBuild = BuildHasherDefault<FnvHasher>;
-
 #[derive(Debug, Clone)]
 struct Node {
     key: PageKey,
@@ -170,10 +133,13 @@ struct Node {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageCache {
-    index: HashMap<PageKey, usize, FnvBuild>,
+    /// Seed-free FNV keeps iteration order a pure function of the
+    /// insert/remove history, so bulk paths like
+    /// [`PageCache::drain_unmapped`] are deterministic across runs.
+    index: HashMap<PageKey, usize, FnvBuildHasher>,
     /// Cached pages per file, maintained on insert/remove so
     /// placement probes never scan the whole index.
-    per_file: HashMap<FileId, u64, FnvBuild>,
+    per_file: HashMap<FileId, u64, FnvBuildHasher>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Most-recently-used node.

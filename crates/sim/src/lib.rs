@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod arrival;
+mod hash;
 mod queue;
 mod rng;
 mod series;
@@ -45,6 +46,7 @@ pub use arrival::{
     Arrival, ArrivalGen, ArrivalProcess, ArrivalSchedule, ArrivalSource, BurstOverlay,
     ComposedArrivals, LoopMode, TraceArrival, TracePoint,
 };
+pub use hash::{fnv1a, FnvBuildHasher, FnvHasher};
 pub use queue::{Clock, EventQueue, Scheduled};
 pub use rng::SplitMix64;
 pub use series::{SeriesBin, SeriesRegistry, SERIES_WINDOW_NS};

@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use snapbpf_sim::{SimDuration, TraceArrival, TracePoint};
+use snapbpf_sim::{fnv1a, SimDuration, TraceArrival, TracePoint};
 use snapbpf_workloads::Workload;
 
 const MAGIC: &[u8; 4] = b"SBTP";
@@ -287,15 +287,6 @@ fn meta_distance(m: &FuncMeta, w: &Workload) -> f64 {
     d(m.snapshot_mib, s.snapshot_mib)
         + d(m.ws_pages, s.ws_pages())
         + d(m.compute_us, (s.compute_ms * 1000.0).round() as u64)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
