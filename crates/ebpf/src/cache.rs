@@ -1,6 +1,8 @@
-//! The load pipeline behind one structural cache: [`ProgramCache`].
+//! The load pipeline behind one structural cache: a run-wide
+//! [`ProgramStore`] seen through per-host [`ProgramCache`] views.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use snapbpf_sim::Tracer;
 
@@ -17,12 +19,37 @@ struct ShapeKey {
     kfuncs: Vec<KfuncSig>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shape {
-    /// A logless load verified this shape; logged loads always walk.
-    verified: bool,
+    /// Insertion index in the store; keys the views' seen-sets.
+    id: usize,
+    /// The stats of the first accepted logless walk. A rejection is
+    /// never stored: its error names the caller's maps. Locked across
+    /// the walk, so concurrent first loads walk the shape once.
+    verdict: Mutex<Option<VerifierStats>>,
     /// Set once the optimizer has run on this shape.
-    opt: Option<CachedOpt>,
+    opt: OnceLock<CachedOpt>,
+}
+
+impl Shape {
+    /// The stored verdict replayed for `program`, or a walk of it
+    /// that is stored when accepted.
+    fn verify(
+        &self,
+        program: &Program,
+        maps: &MapSet,
+        kfuncs: &[KfuncSig],
+    ) -> Result<VerifiedProgram, VerifyError> {
+        let mut verdict = self.verdict.lock().expect("a verifier walk panicked");
+        if let Some(stats) = &*verdict {
+            return Ok(VerifiedProgram::replayed(program.clone(), stats.clone()));
+        }
+        let result = Verifier::new(maps, kfuncs).verify(program);
+        if let Ok(verified) = &result {
+            *verdict = Some(verified.stats().clone());
+        }
+        result
+    }
 }
 
 #[derive(Debug)]
@@ -31,6 +58,15 @@ struct CachedOpt {
     /// re-verification rejected it and the original is attached.
     image: Option<Vec<Insn>>,
     stats: OptStats,
+}
+
+/// What one view has already counted for a shape.
+#[derive(Debug, Default, Clone, Copy)]
+struct Seen {
+    /// A logless load verified this shape here; logged loads always walk.
+    verified: bool,
+    /// An optimizing load attached this shape here.
+    optimized: bool,
 }
 
 /// `insns` with every map reference replaced by `f(map)`.
@@ -42,6 +78,47 @@ fn remap(insns: &[Insn], f: impl Fn(MapId) -> MapId) -> Vec<Insn> {
     insns.iter().copied().map(remap).collect()
 }
 
+/// The verdicts and optimizer results of every program *shape* one
+/// run has loaded, shared by all its [`ProgramCache`] views — one per
+/// host, on any thread. Each shape is walked and optimized at most
+/// once per store.
+#[derive(Debug, Default)]
+pub struct ProgramStore {
+    shapes: Mutex<HashMap<ShapeKey, Arc<Shape>>>,
+}
+
+impl ProgramStore {
+    fn shape(&self, key: ShapeKey) -> Arc<Shape> {
+        let mut shapes = self.shapes.lock().expect("a store lookup panicked");
+        let id = shapes.len();
+        let shape = shapes.entry(key).or_insert_with(|| {
+            Arc::new(Shape {
+                id,
+                verdict: Mutex::default(),
+                opt: OnceLock::new(),
+            })
+        });
+        Arc::clone(shape)
+    }
+
+    /// Distinct program shapes with a stored verdict.
+    pub fn len(&self) -> usize {
+        let shapes = self.shapes.lock().expect("a store lookup panicked");
+        let stored = |s: &&Arc<Shape>| {
+            s.verdict
+                .lock()
+                .expect("a verifier walk panicked")
+                .is_some()
+        };
+        shapes.values().filter(stored).count()
+    }
+
+    /// Whether no verdict has been stored yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The load pipeline — verify, optimize, silent re-verify — run once
 /// per program *shape*: the instructions with each map reference
 /// renumbered to its first-occurrence slot (`[A, B, A]` → `[0, 1, 0]`),
@@ -51,26 +128,32 @@ fn remap(insns: &[Insn], f: impl Fn(MapId) -> MapId) -> Vec<Insn> {
 /// slot onto the caller's maps. Keys are compared whole: a hash
 /// collision can never admit an unverified image. Failed
 /// verifications are never cached.
+///
+/// The work lives in a [`ProgramStore`] that views may share; a view
+/// keeps its own tracer and which shapes it has seen. A view's first
+/// load of a shape replays the stored walk and optimizer stats, so its
+/// counters read exactly as if it had done the work itself, whichever
+/// view did it.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    shapes: HashMap<ShapeKey, Shape>,
+    store: Arc<ProgramStore>,
+    seen: HashMap<usize, Seen>,
     trace: Tracer,
 }
 
 impl ProgramCache {
+    /// A view over `store`, which other views may share.
+    pub fn new(store: Arc<ProgramStore>) -> Self {
+        ProgramCache {
+            store,
+            seen: HashMap::new(),
+            trace: Tracer::default(),
+        }
+    }
+
     /// Attaches the structured trace handle load metrics go to.
     pub fn set_tracer(&mut self, trace: Tracer) {
         self.trace = trace;
-    }
-
-    /// Distinct program shapes with an accepted load.
-    pub fn len(&self) -> usize {
-        self.shapes.len()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
     }
 
     /// Verifies `program` and, when `optimize` is set, optimizes it
@@ -103,13 +186,14 @@ impl ProgramCache {
             MapId::from_raw(slot.expect("references only the program's maps") as u32)
         };
         let shape = (defs.len() == slots.len()).then(|| {
-            self.shapes.entry(ShapeKey {
+            self.store.shape(ShapeKey {
                 insns: remap(program.insns(), slot_of),
                 defs,
                 kfuncs: kfuncs.to_vec(),
             })
         });
-        let verify_hit = !log && matches!(&shape, Some(Entry::Occupied(e)) if e.get().verified);
+        let seen = shape.as_ref().and_then(|s| self.seen.get(&s.id));
+        let verify_hit = !log && seen.is_some_and(|seen| seen.verified);
 
         let trace = &self.trace;
         let mut stats = VerifierStats::default();
@@ -123,7 +207,10 @@ impl ProgramCache {
             trace.incr("ebpf.verifier.cache_hits");
             Ok(VerifiedProgram::cached(program.clone()))
         } else {
-            let result = Verifier::new(maps, kfuncs).verify(program);
+            let result = match &shape {
+                Some(shape) => shape.verify(program, maps, kfuncs),
+                None => Verifier::new(maps, kfuncs).verify(program),
+            };
             if let Ok(verified) = &result {
                 stats = verified.stats().clone();
             }
@@ -142,18 +229,18 @@ impl ProgramCache {
             }
         };
         trace.incr("ebpf.verifier.programs");
-        let shape = shape
-            .expect("the verifier rejects unknown maps")
-            .or_default();
-        shape.verified |= !log;
+        let shape = shape.expect("the verifier rejects unknown maps");
+        let seen = self.seen.entry(shape.id).or_default();
+        seen.verified |= !log;
         if !optimize {
             return (Ok(verified), verifier_log);
         }
 
-        if shape.opt.is_some() {
+        if seen.optimized {
             trace.incr("ebpf.opt.cache_hits");
         }
-        let cached = shape.opt.get_or_insert_with(|| {
+        seen.optimized = true;
+        let cached = shape.opt.get_or_init(|| {
             let (optimized, stats) = PassManager::new().optimize(program, maps, kfuncs);
             // Silent: the verifier metrics cover only the program the
             // author wrote.
@@ -203,12 +290,25 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A cache reporting into a fresh metrics-only tracer.
-    fn traced() -> (ProgramCache, Tracer) {
+    /// A view over `store` reporting into a fresh metrics-only tracer.
+    fn view(store: &Arc<ProgramStore>) -> (ProgramCache, Tracer) {
         let trace = Tracer::noop();
-        let mut cache = ProgramCache::default();
+        let mut cache = ProgramCache::new(Arc::clone(store));
         cache.set_tracer(trace.clone());
         (cache, trace)
+    }
+
+    /// A view over a store of its own.
+    fn traced() -> (ProgramCache, Tracer) {
+        view(&Arc::default())
+    }
+
+    /// A fresh map set holding one array map, and the lookup program
+    /// over it: one host's view of the shared shape.
+    fn host() -> (MapSet, Program) {
+        let mut maps = MapSet::new();
+        let m = maps.create(MapDef::array(8, 16)).unwrap();
+        (maps, lookup_program("p", m))
     }
 
     fn load(cache: &mut ProgramCache, maps: &MapSet, program: &Program) -> VerifiedProgram {
@@ -236,12 +336,12 @@ mod tests {
         load(&mut cache, &maps, &lookup_program("p1", a));
         let [walked, ..] = work(&trace);
         assert!(walked > 0, "first load walks");
-        assert_eq!((cache.len(), work(&trace)), (1, [walked, 0, 0, 1]));
+        assert_eq!((cache.store.len(), work(&trace)), (1, [walked, 0, 0, 1]));
 
         // Different map id, identical definition: verifier-equivalent.
         let second = load(&mut cache, &maps, &lookup_program("p2", b));
         assert_eq!(second.states_explored(), 0, "cache hit does no work");
-        assert_eq!((cache.len(), work(&trace)), (1, [walked, 1, 1, 2]));
+        assert_eq!((cache.store.len(), work(&trace)), (1, [walked, 1, 1, 2]));
         assert_eq!(second.program().name(), "p2");
         assert!(second.program().insns().iter().all(|insn| match insn {
             Insn::LoadMapRef { map, .. } => *map == b,
@@ -264,7 +364,7 @@ mod tests {
             [2 * walked, 0, 0, 2],
             "different max_entries is a different shape"
         );
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.store.len(), 2);
     }
 
     #[test]
@@ -287,7 +387,7 @@ mod tests {
             let kind = result.unwrap_err().kind;
             assert!(matches!(kind, VerifyErrorKind::PossiblyNull(_)));
         }
-        assert!(cache.is_empty());
+        assert!(cache.store.is_empty());
         assert_eq!(work(&trace)[1..], [0, 0, 0]);
         assert_eq!(trace.counter("ebpf.verifier.rejections"), 2);
     }
@@ -316,6 +416,95 @@ mod tests {
         let (_, log) = cache.load(&prog, &maps, &[], true, true);
         assert!(log.is_some());
         assert_eq!(work(&trace), [3 * walked, 2, 2, 3]);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.store.len(), 1);
+    }
+
+    #[test]
+    fn views_over_one_store_count_work_they_did_not_repeat() {
+        let store = Arc::default();
+        let (maps_a, prog_a) = host();
+        let (maps_b, prog_b) = host();
+        let (mut first, first_trace) = view(&store);
+        let (mut second, second_trace) = view(&store);
+
+        load(&mut first, &maps_a, &prog_a);
+        let [walked, ..] = work(&first_trace);
+        assert!(walked > 0, "first load walks");
+        // The second host's first load replays the stored work: its
+        // counters read value for value as if it had walked and
+        // optimized, and the store still holds the one shape.
+        load(&mut second, &maps_b, &prog_b);
+        assert_eq!(store.len(), 1);
+        assert_eq!(
+            second_trace.metrics_snapshot(),
+            first_trace.metrics_snapshot()
+        );
+        // Its next load is a hit, as on a private store.
+        load(&mut second, &maps_b, &prog_b);
+        assert_eq!(work(&second_trace), [walked, 1, 1, 2]);
+        assert_eq!(work(&first_trace), [walked, 0, 0, 1]);
+    }
+
+    #[test]
+    fn concurrent_first_loads_of_one_shape_agree() {
+        const THREADS: usize = 4;
+        let store = Arc::default();
+        let start = std::sync::Barrier::new(THREADS);
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (maps, prog) = host();
+                        let (mut cache, trace) = view(&store);
+                        start.wait();
+                        let image = load(&mut cache, &maps, &prog);
+                        (trace.metrics_snapshot(), image)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(store.len(), 1);
+        let (metrics, image) = &runs[0];
+        assert!(metrics.counter("ebpf.verifier.insns_processed") > 0);
+        assert_eq!(metrics.counter("ebpf.opt.programs"), 1);
+        let (maps, prog) = host();
+        assert_eq!(
+            image,
+            &load(&mut traced().0, &maps, &prog),
+            "as on a private store"
+        );
+        assert!(runs.iter().all(|run| run == &runs[0]));
+    }
+
+    #[test]
+    fn views_share_the_verdict_but_optimize_only_on_request() {
+        let store = Arc::default();
+        let (maps, prog) = host();
+        let (mut plain, plain_trace) = view(&store);
+        let (mut optimizing, optimizing_trace) = view(&store);
+        let optimized = |store: &ProgramStore| {
+            let shapes = store.shapes.lock().unwrap();
+            shapes.values().filter(|s| s.opt.get().is_some()).count()
+        };
+
+        let unoptimized = plain.load(&prog, &maps, &[], false, false).0.unwrap();
+        assert_eq!(unoptimized.program(), &prog);
+        assert_eq!(optimized(&store), 0);
+        let [walked, ..] = work(&plain_trace);
+        assert_eq!(work(&plain_trace), [walked, 0, 0, 0]);
+
+        load(&mut optimizing, &maps, &prog);
+        assert_eq!(optimized(&store), 1);
+        assert_eq!(work(&optimizing_trace), [walked, 0, 0, 1]);
+        assert_eq!(work(&plain_trace), [walked, 0, 0, 0]);
+
+        // A replayed verdict carries the stored walk's stats, so the
+        // attached program never depends on which view walked first.
+        let (mut late, _) = view(&store);
+        let replayed = late.load(&prog, &maps, &[], false, false).0.unwrap();
+        assert!(replayed.states_explored() > 0);
+        assert_eq!(replayed, unoptimized);
+        assert_eq!(store.len(), 1);
     }
 }

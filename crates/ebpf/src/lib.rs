@@ -31,7 +31,8 @@
 //! * [`ProgramCache`] — the load pipeline (verify, optimize, silent
 //!   re-verify) run once per program *shape*: instructions with map
 //!   references renumbered to first-occurrence slots, each slot's
-//!   [`MapDef`], and the kfunc table.
+//!   [`MapDef`], and the kfunc table. Its results live in a
+//!   [`ProgramStore`] that the views of many hosts may share.
 //!
 //! ## Examples
 //!
@@ -96,7 +97,7 @@ mod verify;
 
 pub use asm_text::{parse_program, ParseError};
 pub use bytecode::{decode_program, encode_program, DecodeError, MAGIC, VERSION};
-pub use cache::ProgramCache;
+pub use cache::{ProgramCache, ProgramStore};
 pub use insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, MAX_INSNS, STACK_SIZE,
 };

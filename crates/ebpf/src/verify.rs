@@ -548,6 +548,16 @@ impl VerifiedProgram {
         }
     }
 
+    /// A program whose verdict came from a stored walk of its shape:
+    /// it carries that walk's `stats`, exactly as if it had been walked.
+    pub(crate) fn replayed(program: Program, stats: VerifierStats) -> Self {
+        VerifiedProgram {
+            program,
+            stats,
+            log: None,
+        }
+    }
+
     /// The underlying program.
     pub fn program(&self) -> &Program {
         &self.program

@@ -42,7 +42,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
+use snapbpf_kernel::ProgramStore;
 use snapbpf_sim::{
     chrome_trace_json, MetricsRegistry, SeriesRegistry, SimDuration, SimTime, TraceEvent, Tracer,
     TracerClass, TID_CONTROL, TID_DISK, TID_KERNEL,
@@ -294,16 +296,18 @@ trait Shard {
     fn finish(&mut self) -> Result<Vec<HostOutcome>, StrategyError>;
 }
 
-/// Builds the per-host world `h` with its own buffering tracer.
+/// Builds the per-host world `h` with its own buffering tracer, its
+/// kernel loading programs through the run's shared `programs`.
 fn build_shard_host<'a>(
     cfg: &'a FleetConfig,
     workloads: &[Workload],
     class: TracerClass,
+    programs: &Arc<ProgramStore>,
     h: usize,
 ) -> Result<(Tracer, Host<'a>, SimTime), StrategyError> {
     let tracer = Tracer::of_class(class);
     tracer.set_pid(h as u32 + 1);
-    let (mut host, t0) = build_host(cfg, workloads, &tracer)?;
+    let (mut host, t0) = build_host(cfg, workloads, &tracer, programs)?;
     // Pin each host world to its own simulated CPU (wrapping at
     // NCPUS) so per-CPU map bumps from parallel shards land in
     // distinct lanes, exactly as distinct cores would.
@@ -376,11 +380,12 @@ impl<'a> InlineShard<'a> {
         cfg: &'a FleetConfig,
         workloads: &[Workload],
         class: TracerClass,
+        programs: &Arc<ProgramStore>,
     ) -> Result<InlineShard<'a>, StrategyError> {
         let mut hosts = Vec::with_capacity(cfg.hosts);
         let mut t0 = SimTime::ZERO;
         for h in 0..cfg.hosts {
-            let (tracer, host, t) = build_shard_host(cfg, workloads, class, h)?;
+            let (tracer, host, t) = build_shard_host(cfg, workloads, class, programs, h)?;
             t0 = t;
             hosts.push((tracer, host));
         }
@@ -467,11 +472,15 @@ enum Reply {
 /// Body of one worker thread: owns the hosts with index `≡ worker
 /// (mod threads)` for the whole run. `Host` is deliberately not
 /// `Send` (its tracer handles are `Rc`), so each worker **builds**
-/// its hosts locally and only plain data crosses the channels.
+/// its hosts locally and only plain data crosses the channels — with
+/// one exception: the run's [`ProgramStore`], which every worker's
+/// kernels share so each program shape is verified and optimized
+/// once per run.
 fn worker_main(
     cfg: &FleetConfig,
     workloads: &[Workload],
     class: TracerClass,
+    programs: &Arc<ProgramStore>,
     indices: Vec<usize>,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
@@ -480,7 +489,7 @@ fn worker_main(
     let mut t0 = SimTime::ZERO;
     let mut build_err = None;
     for h in indices {
-        match build_shard_host(cfg, workloads, class, h) {
+        match build_shard_host(cfg, workloads, class, programs, h) {
             Ok((tracer, host, t)) => {
                 t0 = t;
                 hosts.push((h, tracer, host));
@@ -578,6 +587,7 @@ impl ThreadedShard {
         cfg: &'env FleetConfig,
         workloads: &'env [Workload],
         class: TracerClass,
+        programs: &'env Arc<ProgramStore>,
         threads: usize,
     ) -> Result<ThreadedShard, StrategyError> {
         let mut cmds = Vec::with_capacity(threads);
@@ -586,7 +596,9 @@ impl ThreadedShard {
             let (cmd_tx, cmd_rx) = channel::<Cmd>();
             let (reply_tx, reply_rx) = channel::<Reply>();
             let indices: Vec<usize> = (w..cfg.hosts).step_by(threads).collect();
-            scope.spawn(move || worker_main(cfg, workloads, class, indices, cmd_rx, reply_tx));
+            scope.spawn(move || {
+                worker_main(cfg, workloads, class, programs, indices, cmd_rx, reply_tx)
+            });
             cmds.push(cmd_tx);
             replies.push(reply_rx);
         }
@@ -907,12 +919,16 @@ pub(crate) fn cluster_impl(
 ) -> Result<ClusterResult, StrategyError> {
     validate(cfg, workloads)?;
     let threads = effective_threads(threads, cfg.hosts);
+    let class = tracer.class();
+    // One store per run: every host's kernel verifies and optimizes
+    // through it, so each program shape is processed once per run.
+    let programs = Arc::default();
     if threads <= 1 {
-        let mut shard = InlineShard::build(cfg, workloads, tracer.class())?;
+        let mut shard = InlineShard::build(cfg, workloads, class, &programs)?;
         drive(cfg, workloads, tracer, policy, &mut shard)
     } else {
         std::thread::scope(|scope| {
-            let mut shard = ThreadedShard::start(scope, cfg, workloads, tracer.class(), threads)?;
+            let mut shard = ThreadedShard::start(scope, cfg, workloads, class, &programs, threads)?;
             drive(cfg, workloads, tracer, policy, &mut shard)
         })
     }

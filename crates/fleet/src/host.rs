@@ -10,9 +10,10 @@
 //! cluster tests).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use snapbpf::{FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError};
-use snapbpf_kernel::{HostKernel, KernelConfig};
+use snapbpf_kernel::{HostKernel, KernelConfig, ProgramStore};
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{sandbox_tid, SimDuration, SimTime, SplitMix64, Tracer, TID_CONTROL};
 use snapbpf_storage::{Disk, IoTracer};
@@ -124,6 +125,10 @@ pub(crate) struct Host<'a> {
 /// I/O accounting reset at the invocation-phase boundary, and the
 /// caller's tracer installed from that boundary on.
 ///
+/// The kernel loads its eBPF programs through `programs`, the store
+/// every host of the run shares — across worker threads too, the one
+/// value that is not plain data to do so.
+///
 /// Returns the host plus `t0`, the virtual time the invocation phase
 /// starts at. Deterministic: two hosts built from the same
 /// (config, workloads) are in identical states.
@@ -131,13 +136,15 @@ pub(crate) fn build_host<'a>(
     cfg: &'a FleetConfig,
     workloads: &[Workload],
     tracer: &Tracer,
+    programs: &Arc<ProgramStore>,
 ) -> Result<(Host<'a>, SimTime), StrategyError> {
     let mut kernel_config = KernelConfig::default();
     if let Some(pages) = cfg.memory_pages {
         kernel_config.total_memory_pages = pages;
     }
     kernel_config.page_cache_budget_pages = cfg.cache_budget_pages;
-    let mut kernel = HostKernel::new(Disk::new(cfg.device.build()), kernel_config);
+    let disk = Disk::new(cfg.device.build());
+    let mut kernel = HostKernel::with_program_store(disk, kernel_config, Arc::clone(programs));
 
     let mut t = SimTime::ZERO;
     let mut funcs = Vec::with_capacity(workloads.len());

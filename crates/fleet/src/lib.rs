@@ -92,6 +92,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
 use snapbpf::StrategyError;
 use snapbpf_sim::{chrome_trace_json, Tracer, TID_CONTROL, TID_DISK, TID_KERNEL};
 use snapbpf_workloads::Workload;
@@ -155,7 +157,7 @@ pub(crate) fn fleet_impl(
     workloads: &[Workload],
     tracer: &Tracer,
 ) -> Result<FleetResult, StrategyError> {
-    let (mut fleet, t0) = build_host(cfg, workloads, tracer)?;
+    let (mut fleet, t0) = build_host(cfg, workloads, tracer, &Arc::default())?;
     if tracer.events_enabled() {
         tracer.name_thread(TID_CONTROL, "scheduler");
         tracer.name_thread(TID_DISK, "disk");

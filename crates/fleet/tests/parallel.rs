@@ -202,3 +202,43 @@ fn out_of_range_placement_is_a_config_error_not_a_panic() {
         assert!(err.to_string().contains("host"), "{err}");
     }
 }
+
+/// The hosts of one run share a program store, so each program shape
+/// is verified and optimized once per run; every host still counts
+/// its loads as if it had done the work. The merged load counters are
+/// the per-host sums: equal at any thread count, and equal to the
+/// values pinned from when each host kept a store of its own.
+#[test]
+fn shared_program_store_keeps_every_load_counter() {
+    let workloads = small_suite();
+    let cfg = small_cluster_cfg(StrategyKind::SnapBpf, 8, 320.0);
+    let load_counters = |threads| {
+        let r = Runner::new(&cfg)
+            .workloads(&workloads)
+            .threads(threads)
+            .run()
+            .unwrap()
+            .into_cluster()
+            .unwrap();
+        r.metrics
+            .counters()
+            .filter(|(name, _)| name.starts_with("ebpf.verifier.") || name.starts_with("ebpf.opt."))
+            .map(|(name, v)| (name.to_string(), v))
+            .collect::<Vec<_>>()
+    };
+    let serial = load_counters(1);
+    assert_eq!(serial, load_counters(2));
+    let pinned = [
+        ("ebpf.opt.cache_hits", 3),
+        ("ebpf.opt.insns_after", 666),
+        ("ebpf.opt.insns_before", 720),
+        ("ebpf.opt.programs", 6),
+        ("ebpf.verifier.cache_hits", 3),
+        ("ebpf.verifier.dead_insns", 0),
+        ("ebpf.verifier.insns_processed", 2856),
+        ("ebpf.verifier.programs", 6),
+        ("ebpf.verifier.states_pruned", 129),
+    ];
+    let pinned: Vec<_> = pinned.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+    assert_eq!(serial, pinned);
+}

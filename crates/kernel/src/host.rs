@@ -23,10 +23,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use snapbpf_ebpf::{
     Interpreter, KfuncHost, KfuncSig, KprobeRegistry, MapDef, MapError, MapId, MapSet, ProbeError,
-    ProbeId, Program, ProgramCache, VerifyError,
+    ProbeId, Program, ProgramCache, ProgramStore, VerifyError,
 };
 use snapbpf_mem::{
     AllocError, AnonRegistry, BuddyAllocator, CacheError, FrameId, MemorySnapshot, OwnerId,
@@ -227,8 +228,20 @@ pub struct HostKernel {
 }
 
 impl HostKernel {
-    /// Boots a host kernel over `disk`.
+    /// Boots a host kernel over `disk` with a program store of its own.
     pub fn new(disk: Disk, config: KernelConfig) -> Self {
+        HostKernel::with_program_store(disk, config, Arc::default())
+    }
+
+    /// Boots a host kernel over `disk` whose program loads share
+    /// `programs` with every other kernel built over it: each program
+    /// shape is verified and optimized once per store, while this
+    /// kernel's load metrics read as if it had done the work itself.
+    pub fn with_program_store(
+        disk: Disk,
+        config: KernelConfig,
+        programs: Arc<ProgramStore>,
+    ) -> Self {
         HostKernel {
             buddy: BuddyAllocator::new(config.total_memory_pages),
             disk,
@@ -251,7 +264,7 @@ impl HostKernel {
             verifier_log_enabled: false,
             verifier_logs: Vec::new(),
             optimizer_enabled: true,
-            programs: ProgramCache::default(),
+            programs: ProgramCache::new(programs),
             config,
         }
     }
@@ -320,7 +333,10 @@ impl HostKernel {
     /// restore after the first) counts `ebpf.verifier.cache_hits` and
     /// `ebpf.opt.cache_hits` instead of walking and optimizing again,
     /// and attaches the cached image rebased onto the caller's maps.
-    /// Verifier-log capture never takes a cached verdict.
+    /// A shape another kernel on the same [`ProgramStore`] already
+    /// loaded is not walked again either, but its first load here
+    /// still counts as a walk. Verifier-log capture never takes a
+    /// cached verdict.
     ///
     /// # Errors
     ///

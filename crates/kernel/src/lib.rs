@@ -56,4 +56,5 @@ pub use host::{
     PROG_RET_DISABLE,
 };
 pub use kvm::{AccessKind, AccessOutcome, CowPolicy, KvmVm, VmMemStats, PV_MIRROR_BIT};
+pub use snapbpf_ebpf::ProgramStore;
 pub use telemetry::{DrainSummary, TelemetryDrain};
