@@ -200,3 +200,77 @@ fn cascade_prefetch_is_equivalent() {
         build_prefetch_program_cascade(snap, map)
     });
 }
+
+/// The kfunc the host kernel registers (mirrors `HostKernel`'s
+/// table), so liveness sees the same call signatures as a real load.
+const HOST_KFUNCS: &[snapbpf_ebpf::KfuncSig] = &[snapbpf_ebpf::KfuncSig {
+    name: "snapbpf_prefetch",
+    args: 3,
+}];
+
+/// Renders the optimized image of every shipped builder, once at the
+/// `opt-report` sizes (4096 capture samples, 256 groups) and once at
+/// one of each, with the optimizer's round and instruction counts.
+fn optimized_images() -> String {
+    use snapbpf::{build_capture_program, wset_map_def};
+    use snapbpf_storage::Disk;
+    use std::fmt::Write as _;
+
+    let mut out = String::new();
+    for (samples, max_groups) in [(4096, 256), (1, 1)] {
+        let mut k = HostKernel::new(
+            Disk::new(Box::new(SsdModel::micron_5300())),
+            KernelConfig::default(),
+        );
+        let snap = k.disk_mut().create_file("snap", 8192).unwrap();
+        let wset = k.create_map(wset_map_def(samples)).unwrap();
+        let groups = k.create_map(groups_map_def(max_groups)).unwrap();
+        let ring = k.create_map(snapbpf_ebpf::telemetry_ring_def()).unwrap();
+        let stats = k.create_map(snapbpf_ebpf::telemetry_stats_def()).unwrap();
+        let programs = [
+            build_capture_program(snap, wset, samples),
+            build_prefetch_program(snap, groups, max_groups),
+            build_prefetch_program_telemetry(snap, groups, max_groups, ring, stats),
+            build_prefetch_program_cascade(snap, groups),
+        ];
+        for prog in &programs {
+            let (image, s) = snapbpf_ebpf::PassManager::new().optimize(prog, k.maps(), HOST_KFUNCS);
+            let _ = writeln!(
+                out,
+                "== {} (samples={samples}, max_groups={max_groups}): rounds={} insns_before={} insns_after={}",
+                prog.name(),
+                s.rounds,
+                s.insns_before,
+                s.insns_after
+            );
+            let _ = write!(out, "{image}");
+        }
+    }
+    out
+}
+
+/// Pins every optimized image byte for byte, so a change to the pass
+/// pipeline that alters any shipped program shows up as a diff. Bless
+/// intentional changes with `UPDATE_GOLDEN=1 cargo test -p snapbpf
+/// --test opt_equivalence` and inspect the diff.
+#[test]
+fn golden_optimized_images() {
+    let actual = optimized_images();
+    let path =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/opt_images.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "golden file {} missing; bless with UPDATE_GOLDEN=1 cargo test -p snapbpf --test opt_equivalence",
+            path.display()
+        )
+    });
+    assert_eq!(
+        expected, actual,
+        "optimized images changed; if intentional, bless with UPDATE_GOLDEN=1 cargo test -p snapbpf --test opt_equivalence"
+    );
+}

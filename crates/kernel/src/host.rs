@@ -1313,14 +1313,14 @@ mod tests {
 
     /// Per reference `i` to map `m`: slot 0 of `m` becomes
     /// `slot * 10 + (i + 1)`, so the final values spell out which map
-    /// each reference hit, in order. A constant-false guard gives the
-    /// optimizer something to remove.
+    /// each reference hit, in order. Two dead definitions of `r7` give
+    /// the optimizer something to remove.
     fn appender(refs: &[MapId]) -> Program {
         use snapbpf_ebpf::{AccessSize, HelperId, JmpCond, ProgramBuilder, Reg};
 
         let mut b = ProgramBuilder::new("appender");
         let out = b.label();
-        b.mov(Reg::R7, 3).jump_if(JmpCond::Gt, Reg::R7, 5i64, out);
+        b.mov(Reg::R7, 3).mov(Reg::R7, 5);
         for (i, &m) in refs.iter().enumerate() {
             b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
                 .load_map(Reg::R1, m)
