@@ -1,13 +1,13 @@
 //! Control-flow graph utilities shared by the verifier and the
 //! optimizer.
 //!
-//! The verifier's dead-code check and the optimizer's DCE pass both
-//! need static reachability; the single implementation lives here
-//! ([`static_reachable`]). On top of it the module provides basic
-//! blocks, predecessor lists, contiguous natural-loop detection, and
-//! the two splice primitives ([`delete_at`], [`insert_at`]) that
-//! rewrite an instruction stream while keeping every relative jump
-//! offset pointing at the same instruction.
+//! The verifier's dead-code check, the lints and the optimizer's DCE
+//! pass all need static reachability; the single implementation
+//! lives here ([`static_reachable`]). On top of it the module provides
+//! basic blocks, predecessor lists, contiguous natural-loop
+//! detection, and the two splice primitives ([`delete_at`],
+//! [`insert_at`]) that rewrite an instruction stream while keeping
+//! every relative jump offset pointing at the same instruction.
 
 use crate::insn::Insn;
 

@@ -3,14 +3,16 @@
 //! analysis.
 //!
 //! The [`PassManager`] composes constant folding, range-based branch
-//! elimination, dead-code/dead-store elimination, a peephole tier,
-//! and loop transforms (invariant hoisting, induction-variable
-//! strength reduction, slot unification, register promotion, loop
-//! rotation) to a fixpoint. Every pass preserves observable
-//! behaviour — return value, map and ring-buffer effects, and their
-//! order — and the load pipeline ([`crate::ProgramCache`])
-//! re-verifies each optimized image before it can be attached, so the
-//! verifier, not the optimizer, remains the safety boundary.
+//! elimination, dead-code elimination, a peephole tier, and loop
+//! transforms (invariant hoisting, induction-variable strength
+//! reduction, slot unification, register promotion, loop rotation)
+//! to a fixpoint. Each of them changes at least one shipped program's
+//! optimized image (DESIGN.md §14 has the ablation). Every
+//! pass preserves observable behaviour — return value, map and
+//! ring-buffer effects, and their order — and the load pipeline
+//! ([`crate::ProgramCache`]) re-verifies each optimized image before
+//! it can be attached, so the verifier, not the optimizer, remains the
+//! safety boundary.
 //!
 //! The lint layer ([`lint_program`]) reuses the same CFG and
 //! dataflow facts to flag verifiable-but-suspicious programs.
@@ -46,12 +48,9 @@ pub struct OptStats {
     pub unreachable_removed: u64,
     /// Side-effect-free definitions of dead registers removed.
     pub dead_defs_removed: u64,
-    /// Stack stores whose bytes are never read removed.
-    pub dead_stores_removed: u64,
-    /// Peephole rewrites (identities, coalescing, fusion).
+    /// Peephole rewrites (identities, coalescing, fusion, copy
+    /// propagation).
     pub peephole_rewrites: u64,
-    /// Stack loads forwarded from a known store (or deleted).
-    pub loads_forwarded: u64,
     /// Loop-invariant stores/helper reads hoisted to a preheader.
     pub invariants_hoisted: u64,
     /// Derived induction-variable computations strength-reduced.
@@ -69,8 +68,8 @@ impl fmt::Display for OptStats {
         write!(
             f,
             "insns {} -> {} in {} rounds \
-             (fold={} branch={} unreachable={} dead-def={} dead-store={} \
-             peephole={} forward={} hoist={} ivsr={} unify={} promote={} rotate={})",
+             (fold={} branch={} unreachable={} dead-def={} peephole={} \
+             hoist={} ivsr={} unify={} promote={} rotate={})",
             self.insns_before,
             self.insns_after,
             self.rounds,
@@ -78,9 +77,7 @@ impl fmt::Display for OptStats {
             self.branches_eliminated,
             self.unreachable_removed,
             self.dead_defs_removed,
-            self.dead_stores_removed,
             self.peephole_rewrites,
-            self.loads_forwarded,
             self.invariants_hoisted,
             self.iv_strength_reduced,
             self.slots_unified,
@@ -127,7 +124,6 @@ impl PassManager {
             changed |= passes::const_fold(&mut insns, &mut stats);
             changed |= passes::branch_elim(&mut insns, &mut stats);
             changed |= passes::dce(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::dse(&mut insns, maps, kfuncs, &mut stats);
             changed |= passes::peephole(&mut insns, maps, kfuncs, &mut stats);
             changed |= passes::licm(&mut insns, maps, kfuncs, &mut stats);
             changed |= passes::ivsr(&mut insns, maps, kfuncs, &mut stats);

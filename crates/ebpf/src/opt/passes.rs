@@ -311,233 +311,47 @@ pub(crate) fn dce(
     changed
 }
 
-/// Dead-store elimination: an exact stack store none of whose bytes
-/// are live afterwards is deleted.
-pub(crate) fn dse(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
-    let mut changed = false;
-    for pc in (0..insns.len()).rev() {
-        let span = match insns[pc] {
-            Insn::Store {
-                base, off, size, ..
-            }
-            | Insn::StoreImm {
-                base, off, size, ..
-            } => exact_stack_span(facts.reg(pc, base), off, size.bytes()),
-            _ => None,
-        };
-        let Some((s, len)) = span else { continue };
-        if !live.live_out[pc].stack_overlaps(s, len) {
-            delete_at(insns, pc);
-            stats.dead_stores_removed += 1;
-            changed = true;
-        }
-    }
-    changed
-}
-
 /// The peephole tier. Each invocation applies the first non-empty
-/// rewrite family — ALU identities, block-local store-to-load
-/// forwarding, mov/ALU/mov coalescing, mov-store fusion — and
-/// returns; the pass-manager fixpoint supplies iteration. Families
-/// stay separate so every batch of rewrites is justified against the
-/// same unmodified instruction stream.
+/// rewrite family — no-op jumps, mov/ALU/mov coalescing, mov-store
+/// fusion, load-mov fusion, copy propagation — and returns; the
+/// pass-manager fixpoint supplies iteration. Families stay separate
+/// so every batch of rewrites is justified against the same
+/// unmodified instruction stream. That is also why one liveness and
+/// leader computation serves every family: a family that rewrites
+/// nothing leaves the stream as it found it.
 pub(crate) fn peephole(
     insns: &mut Vec<Insn>,
     maps: &MapSet,
     kfuncs: &[KfuncSig],
     stats: &mut OptStats,
 ) -> bool {
-    identities(insns, stats)
-        || forward_loads(insns, stats)
-        || coalesce_movs(insns, maps, kfuncs, stats)
-        || fuse_mov_store(insns, maps, kfuncs, stats)
-        || fuse_load_mov(insns, maps, kfuncs, stats)
-        || copy_prop(insns, maps, kfuncs, stats)
-}
-
-/// ALU identities and no-op jumps. 32-bit ops zero-extend, so the
-/// deleting identities apply to 64-bit ops only; constant-zero
-/// results are width-independent.
-fn identities(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
-    let mut rewrites = Vec::new();
-    for pc in 0..insns.len() {
-        let rw = match insns[pc] {
-            Insn::Alu64 { op, dst, src } => match (op, src) {
-                (
-                    AluOp::Add
-                    | AluOp::Sub
-                    | AluOp::Or
-                    | AluOp::Xor
-                    | AluOp::Lsh
-                    | AluOp::Rsh
-                    | AluOp::Arsh,
-                    Operand::Imm(0),
-                )
-                | (AluOp::Mul | AluOp::Div, Operand::Imm(1)) => Some(Rewrite::Del(pc)),
-                (AluOp::Mov, Operand::Reg(r)) if r == dst => Some(Rewrite::Del(pc)),
-                (AluOp::Mul | AluOp::And, Operand::Imm(0)) | (AluOp::Mod, Operand::Imm(1)) => {
-                    Some(Rewrite::Repl(pc, mov_imm(dst, 0)))
-                }
-                _ => None,
-            },
-            Insn::Alu32 { op, dst, src } => match (op, src) {
-                (AluOp::Mul | AluOp::And, Operand::Imm(0)) | (AluOp::Mod, Operand::Imm(1)) => {
-                    Some(Rewrite::Repl(pc, mov_imm(dst, 0)))
-                }
-                _ => None,
-            },
-            Insn::Jump { off: 0 } | Insn::JumpIf { off: 0, .. } => Some(Rewrite::Del(pc)),
-            _ => None,
-        };
-        if let Some(rw) = rw {
-            stats.peephole_rewrites += 1;
-            rewrites.push(rw);
-        }
+    if drop_nop_jumps(insns, stats) {
+        return true;
     }
-    apply_rewrites(insns, rewrites)
-}
-
-/// What a tracked stack slot is known to hold within a basic block.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AvailVal {
-    /// The slot holds exactly this register's current value.
-    RegFull(Reg),
-    /// The slot's bytes zero-extend to this register's value (set by
-    /// a sub-8-byte load of the same width).
-    Zext(Reg, AccessSize),
-    /// The slot holds this 8-byte constant.
-    Imm(i64),
-}
-
-fn avail_refs(v: AvailVal, r: Reg) -> bool {
-    match v {
-        AvailVal::RegFull(x) | AvailVal::Zext(x, _) => x == r,
-        AvailVal::Imm(_) => false,
-    }
-}
-
-/// Block-local store-to-load forwarding: re-loads of a slot whose
-/// content is known become register moves (or disappear), and
-/// self-stores (writing back a value the slot already holds) are
-/// deleted. Slots survive helper calls because helpers never write
-/// stack memory.
-fn forward_loads(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
     let facts = compute_facts(insns);
+    let live = compute_liveness(insns, maps, kfuncs, &facts);
     let lead = leaders(insns);
-    let mut rewrites = Vec::new();
-    let mut avail: Vec<(usize, usize, AvailVal)> = Vec::new();
-    let overlap = |e: &(usize, usize, AvailVal), s: usize, l: usize| e.0 < s + l && s < e.0 + e.1;
-    for pc in 0..insns.len() {
-        if lead[pc] {
-            avail.clear();
-        }
-        match insns[pc] {
-            Insn::Store {
-                base,
-                off,
-                src,
-                size,
-            } => match exact_stack_span(facts.reg(pc, base), off, size.bytes()) {
-                Some((s, l)) => {
-                    let cur = avail.iter().find(|e| e.0 == s && e.1 == l).map(|e| e.2);
-                    let self_store = match cur {
-                        Some(AvailVal::RegFull(r)) => size == AccessSize::B8 && r == src,
-                        Some(AvailVal::Zext(r, sz)) => sz == size && r == src,
-                        _ => false,
-                    };
-                    if self_store {
-                        rewrites.push(Rewrite::Del(pc));
-                        stats.loads_forwarded += 1;
-                    } else {
-                        avail.retain(|e| !overlap(e, s, l));
-                        if size == AccessSize::B8 {
-                            avail.push((s, 8, AvailVal::RegFull(src)));
-                        }
-                    }
-                }
-                None => {
-                    if !non_stack_base(facts.reg(pc, base)) {
-                        avail.clear();
-                    }
-                }
-            },
-            Insn::StoreImm {
-                base,
-                off,
-                imm,
-                size,
-            } => match exact_stack_span(facts.reg(pc, base), off, size.bytes()) {
-                Some((s, l)) => {
-                    let cur = avail.iter().find(|e| e.0 == s && e.1 == l).map(|e| e.2);
-                    if size == AccessSize::B8 && cur == Some(AvailVal::Imm(imm)) {
-                        rewrites.push(Rewrite::Del(pc));
-                        stats.loads_forwarded += 1;
-                    } else {
-                        avail.retain(|e| !overlap(e, s, l));
-                        if size == AccessSize::B8 {
-                            avail.push((s, 8, AvailVal::Imm(imm)));
-                        }
-                    }
-                }
-                None => {
-                    if !non_stack_base(facts.reg(pc, base)) {
-                        avail.clear();
-                    }
-                }
-            },
-            Insn::Load {
-                dst,
-                base,
-                off,
-                size,
-            } => match exact_stack_span(facts.reg(pc, base), off, size.bytes()) {
-                Some((s, l)) => {
-                    let cur = avail.iter().find(|e| e.0 == s && e.1 == l).map(|e| e.2);
-                    let known = match cur {
-                        Some(AvailVal::RegFull(r)) if size == AccessSize::B8 => Some(Ok(r)),
-                        Some(AvailVal::Zext(r, sz)) if sz == size => Some(Ok(r)),
-                        Some(AvailVal::Imm(v)) if size == AccessSize::B8 => Some(Err(v)),
-                        _ => None,
-                    };
-                    if let Some(k) = known {
-                        rewrites.push(match k {
-                            Ok(r) if r == dst => Rewrite::Del(pc),
-                            Ok(r) => Rewrite::Repl(pc, mov_reg(dst, r)),
-                            Err(v) => Rewrite::Repl(pc, mov_imm(dst, v)),
-                        });
-                        stats.loads_forwarded += 1;
-                    }
-                    avail.retain(|e| !avail_refs(e.2, dst));
-                    let val = if size == AccessSize::B8 {
-                        AvailVal::RegFull(dst)
-                    } else {
-                        AvailVal::Zext(dst, size)
-                    };
-                    avail.push((s, l, val));
-                }
-                None => avail.retain(|e| !avail_refs(e.2, dst)),
-            },
-            Insn::Call { .. } | Insn::CallKfunc { .. } => {
-                avail.retain(|e| match e.2 {
-                    AvailVal::RegFull(r) | AvailVal::Zext(r, _) => r.index() > 5,
-                    AvailVal::Imm(_) => true,
-                });
-            }
-            Insn::Jump { .. } | Insn::JumpIf { .. } | Insn::Exit => {}
-            other => {
-                if let Some(d) = def_of(&other) {
-                    avail.retain(|e| !avail_refs(e.2, d));
-                }
-            }
-        }
-    }
+    coalesce_movs(insns, &live, &lead, stats)
+        || fuse_mov_store(insns, &live, &lead, stats)
+        || fuse_load_mov(insns, &live, &lead, stats)
+        || copy_prop(insns, &live, &lead, stats)
+}
+
+/// No-op jumps: a jump or conditional branch to the next instruction
+/// is deleted. Branch elimination leaves these behind when it
+/// hard-wires a guard into a jump over code that DCE then removes as
+/// unreachable.
+fn drop_nop_jumps(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
+    let rewrites: Vec<Rewrite> = (0..insns.len())
+        .filter(|&pc| {
+            matches!(
+                insns[pc],
+                Insn::Jump { off: 0 } | Insn::JumpIf { off: 0, .. }
+            )
+        })
+        .map(Rewrite::Del)
+        .collect();
+    stats.peephole_rewrites += rewrites.len() as u64;
     apply_rewrites(insns, rewrites)
 }
 
@@ -548,13 +362,10 @@ fn forward_loads(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
 /// register.
 fn coalesce_movs(
     insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
+    live: &Liveness,
+    lead: &[bool],
     stats: &mut OptStats,
 ) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
-    let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut claimed = vec![false; insns.len()];
     for p0 in 0..insns.len() {
@@ -650,13 +461,10 @@ fn rename_src(src: Operand, from: Reg, to: Reg) -> Operand {
 /// when `t` is dead afterwards.
 fn fuse_mov_store(
     insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
+    live: &Liveness,
+    lead: &[bool],
     stats: &mut OptStats,
 ) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
-    let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut p = 0;
     while p + 1 < insns.len() {
@@ -715,13 +523,10 @@ fn fuse_mov_store(
 /// pair did.)
 fn fuse_load_mov(
     insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
+    live: &Liveness,
+    lead: &[bool],
     stats: &mut OptStats,
 ) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
-    let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut p = 0;
     while p + 1 < insns.len() {
@@ -767,15 +572,7 @@ fn fuse_load_mov(
 /// Copy propagation for the adjacent pair `mov a, b; alu d, a`:
 /// rewrites the ALU source to `b` and drops the mov when `a` dies at
 /// the ALU instruction.
-fn copy_prop(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
-    let lead = leaders(insns);
+fn copy_prop(insns: &mut Vec<Insn>, live: &Liveness, lead: &[bool], stats: &mut OptStats) -> bool {
     let mut rewrites = Vec::new();
     let mut p = 0;
     while p + 1 < insns.len() {
@@ -1382,7 +1179,7 @@ fn unify_ok(
 /// (`r6..=r9`). A slot qualifies when every access is an exact
 /// 8-byte frame-pointer access and no helper reads it. Access count
 /// is unchanged (loads/stores become movs); the win comes from the
-/// forwarding and coalescing passes that follow.
+/// peephole families and dead-code elimination that follow.
 pub(crate) fn promote(insns: &mut [Insn], maps: &MapSet, stats: &mut OptStats) -> bool {
     let facts = compute_facts(insns);
     let free: Vec<Reg> = [Reg::R6, Reg::R7, Reg::R8, Reg::R9]
