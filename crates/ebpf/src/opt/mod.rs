@@ -7,9 +7,9 @@
 //! transforms (invariant hoisting, induction-variable strength
 //! reduction, slot unification, register promotion, loop rotation)
 //! to a fixpoint. Each of them changes at least one shipped program's
-//! optimized image (DESIGN.md §14 has the ablation). Every
-//! pass preserves observable behaviour — return value, map and
-//! ring-buffer effects, and their order — and the load pipeline
+//! optimized image (DESIGN.md §14 has the ablation). Every pass
+//! preserves observable behaviour — return value, map and ring-buffer
+//! effects, and their order — and the load pipeline
 //! ([`crate::ProgramCache`]) re-verifies each optimized image before
 //! it can be attached, so the verifier, not the optimizer, remains the
 //! safety boundary.
@@ -48,7 +48,7 @@ pub struct OptStats {
     pub unreachable_removed: u64,
     /// Side-effect-free definitions of dead registers removed.
     pub dead_defs_removed: u64,
-    /// Peephole rewrites (identities, coalescing, fusion, copy
+    /// Peephole rewrites (no-op jumps, coalescing, fusion, copy
     /// propagation).
     pub peephole_rewrites: u64,
     /// Loop-invariant stores/helper reads hoisted to a preheader.
